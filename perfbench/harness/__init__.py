@@ -1,0 +1,1 @@
+"""Measurement harness of the repository benchmark (see ``perfbench/run.py``)."""
