@@ -14,7 +14,6 @@ The pipeline reproduced here is the one behind the paper's Table 9:
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -105,8 +104,18 @@ class RetrainingPipeline:
         use_annotations: bool,
         fresh: bool = True,
     ) -> SemanticParser:
-        """Train a parser on the given examples, with or without annotations."""
-        parser = SemanticParser() if fresh else self.baseline
+        """Train a parser on the given examples, with or without annotations.
+
+        A ``fresh`` parser starts from an untrained :class:`LogLinearModel`
+        but is otherwise the baseline's :meth:`SemanticParser.with_model`
+        sibling: it inherits the baseline's config (every in-repo baseline
+        uses the default one) and shares its weight-independent caches, so
+        candidates, features and executions the baseline already computed
+        for a (table, question) pair are reused, never recomputed.  The
+        baseline's weights are left untouched.  ``fresh=False`` trains the
+        baseline itself.
+        """
+        parser = self.baseline.with_model(LogLinearModel()) if fresh else self.baseline
         trainer = Trainer(
             parser,
             TrainerConfig(

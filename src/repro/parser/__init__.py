@@ -18,6 +18,7 @@ from .evaluation import (
     EvaluationExample,
     EvaluationReport,
     ExampleOutcome,
+    clear_evaluation_caches,
     evaluate_parser,
     find_correct_indices,
     perturbed_tables,
@@ -59,6 +60,7 @@ __all__ = [
     "EvaluationReport",
     "ExampleOutcome",
     "evaluate_parser",
+    "clear_evaluation_caches",
     "find_correct_indices",
     "queries_equivalent",
     "perturbed_tables",

@@ -28,7 +28,7 @@ from ..dcs.typing import validate
 from .features import FeatureVector, extract_features
 from .grammar import CandidateGrammar, GenerationConfig
 from .lexicon import LexicalAnalysis, Lexicon
-from .model import LogLinearModel
+from .model import LogLinearModel, softmax
 
 
 @dataclass(frozen=True)
@@ -188,6 +188,39 @@ class SemanticParser:
         #: nor rewrite bundles that cannot have grown enough.
         self._stored_bundle_sizes: Dict[str, int] = {}
         self._stored_bundle_misses: Dict[str, int] = {}
+
+    #: The weight-independent state :meth:`with_model` shares: per-table
+    #: lexicons and grammars, the execution memo, the candidate lists, the
+    #: on-disk store and its bundle bookkeeping.
+    _SHARED_STATE = (
+        "_lexicons",
+        "_grammars",
+        "_execution_cache",
+        "_candidate_cache",
+        "_disk_cache",
+        "_generation_signature",
+        "_loaded_execution_bundles",
+        "_stored_bundle_sizes",
+        "_stored_bundle_misses",
+    )
+
+    def with_model(self, model: LogLinearModel) -> "SemanticParser":
+        """A parser that ranks with ``model`` over this parser's caches.
+
+        Everything but the weights is weight-independent: the returned
+        parser keeps this parser's config and shares (as the *same*
+        objects, not copies) every cache in :attr:`_SHARED_STATE`, so
+        candidates, features and execution results either parser already
+        computed are never recomputed by the other.  Training the returned
+        parser updates ``model`` only; this parser's weights stay as they
+        are.  Clearing or evicting through either parser affects both.
+        """
+        parser = object.__new__(type(self))
+        parser.model = model
+        parser.config = self.config
+        for name in self._SHARED_STATE:
+            setattr(parser, name, getattr(self, name))
+        return parser
 
     # -- per-table caches ---------------------------------------------------------
     # Keyed by content fingerprint, NOT id(table): CPython recycles object
@@ -443,9 +476,10 @@ class SemanticParser:
         """Order candidates by model probability (Equation 4)."""
         if not candidates:
             return []
-        feature_vectors = [candidate.features for candidate in candidates]
-        probabilities = self.model.probabilities(feature_vectors)
-        scores = self.model.scores(feature_vectors)
+        # One dot product per candidate: the probabilities are the softmax
+        # of the same scores (what ``model.probabilities`` computes).
+        scores = self.model.scores([candidate.features for candidate in candidates])
+        probabilities = softmax(scores)
         rescored = [
             Candidate(
                 query=candidate.query,

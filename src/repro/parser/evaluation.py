@@ -24,6 +24,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..tables.fingerprint import LRUCache
 from ..tables.table import Table
 from ..tables.values import NumberValue, Value
 from ..dcs.ast import Query
@@ -38,6 +39,23 @@ from .candidates import Candidate, ParseOutput, SemanticParser
 # ---------------------------------------------------------------------------
 
 
+#: Perturbed copies per ``(fingerprint, name, count, seed)``.  Building
+#: them re-parses every cell, and evaluation asks for the same table's
+#: copies once per answer-consistent candidate of every dev question.
+_PERTURBED_TABLES = LRUCache(maxsize=64)
+#: ``queries_equivalent`` verdicts per ``(fingerprint, candidate sexpr,
+#: gold sexpr, perturbations, seed)``: weight-independent, so every parser
+#: evaluated on the same dev set asks the same questions.
+_EQUIVALENCE_VERDICTS = LRUCache(maxsize=8192)
+
+
+def clear_evaluation_caches() -> None:
+    """Drop the memoised perturbed tables and equivalence verdicts
+    (benchmarks and differential tests use this to start cold)."""
+    _PERTURBED_TABLES.clear()
+    _EQUIVALENCE_VERDICTS.clear()
+
+
 def perturbed_tables(table: Table, count: int = 3, seed: int = 13) -> List[Table]:
     """Build ``count`` perturbed copies of a table.
 
@@ -46,7 +64,20 @@ def perturbed_tables(table: Table, count: int = 3, seed: int = 13) -> List[Table
     (so entity joins still resolve) while changing which rows win
     superlatives, how neighbours line up, and what aggregates evaluate to —
     exactly the differences that separate a correct query from a lucky one.
+
+    The copies depend only on the table's content, its name, ``count`` and
+    ``seed``, so they are memoised by those; tables are immutable, so the
+    cached copies are shared and only the returned list is new.
     """
+    key = (table.fingerprint, table.name, count, seed)
+    return list(
+        _PERTURBED_TABLES.get_or_create(
+            key, lambda: tuple(_build_perturbed_tables(table, count, seed))
+        )
+    )
+
+
+def _build_perturbed_tables(table: Table, count: int, seed: int) -> List[Table]:
     rng = random.Random(seed)
     from ..tables.schema import infer_schema
 
@@ -80,10 +111,22 @@ def queries_equivalent(
 
     Two queries are considered equivalent when they produce matching answers
     on the original table and on every perturbed copy.  Identical
-    s-expressions short-circuit to True.
+    s-expressions short-circuit to True.  The verdict depends on the
+    table's content and the two queries only, so it is memoised by them.
     """
-    if to_sexpr(candidate) == to_sexpr(gold):
+    candidate_sexpr = to_sexpr(candidate)
+    gold_sexpr = to_sexpr(gold)
+    if candidate_sexpr == gold_sexpr:
         return True
+    key = (table.fingerprint, candidate_sexpr, gold_sexpr, perturbations, seed)
+    return _EQUIVALENCE_VERDICTS.get_or_create(
+        key, lambda: _answers_agree(candidate, gold, table, perturbations, seed)
+    )
+
+
+def _answers_agree(
+    candidate: Query, gold: Query, table: Table, perturbations: int, seed: int
+) -> bool:
     tables = [table] + perturbed_tables(table, count=perturbations, seed=seed)
     for current in tables:
         try:

@@ -531,7 +531,10 @@ class ProcessWorkerPool(WorkerPool):
         self.spill = spill
         self.call_timeout = call_timeout
         self.tables_shipped = 0
-        self.last_shipped: List[str] = []
+        #: ``(worker index, digest)`` per table shipped in the last batch:
+        #: a table crosses the pipe at most once per worker, and a spilled
+        #: shard can legitimately reach several workers.
+        self.last_shipped: List[Tuple[int, str]] = []
         #: Workers respawned after a death (supervision at work).
         self.respawns = 0
         #: Respawn attempts that themselves failed.
@@ -862,7 +865,7 @@ class ProcessWorkerPool(WorkerPool):
                 )
                 continue
             worker.shipped.update(new_digests)
-            self.last_shipped.extend(new_digests)
+            self.last_shipped.extend((index, digest) for digest in new_digests)
             self.tables_shipped += len(new_digests)
             if new_weights is not None:
                 worker.weights = new_weights

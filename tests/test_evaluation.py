@@ -6,11 +6,15 @@ from repro.dcs import builder as q, execute
 from repro.parser import (
     EvaluationExample,
     SemanticParser,
+    clear_evaluation_caches,
     evaluate_parser,
     find_correct_indices,
     perturbed_tables,
     queries_equivalent,
 )
+from repro.parser import evaluation
+from repro.tables import Table
+from repro.tables.fingerprint import LRUCache
 
 
 class TestPerturbedTables:
@@ -64,6 +68,105 @@ class TestQueryEquivalence:
         gold = q.max_(q.column_values("Total", q.all_records()))
         failing = q.max_(q.column_values("Total", q.column_records("Nation", "Atlantis")))
         assert not queries_equivalent(failing, gold, medals_table)
+
+
+class TestEvaluationMemos:
+    """``perturbed_tables`` and ``queries_equivalent`` are memoised by
+    content; the memo must never change what either returns."""
+
+    @pytest.fixture(autouse=True)
+    def cold(self):
+        clear_evaluation_caches()
+        yield
+        clear_evaluation_caches()
+
+    def test_cached_perturbed_tables_equal_uncached(self, medals_table):
+        built = perturbed_tables(medals_table, count=3, seed=5)
+        hits = evaluation._PERTURBED_TABLES.hits
+        cached = perturbed_tables(medals_table, count=3, seed=5)
+        assert evaluation._PERTURBED_TABLES.hits == hits + 1
+        assert cached is not built, "callers must get a list of their own"
+        uncached = evaluation._build_perturbed_tables(medals_table, 3, 5)
+        for copies in (built, cached):
+            assert [c.to_dicts() for c in copies] == [u.to_dicts() for u in uncached]
+            assert [c.name for c in copies] == [u.name for u in uncached]
+
+    def test_same_content_under_another_name_keeps_its_name(self, medals_table):
+        renamed = Table(
+            columns=medals_table.columns,
+            rows=[[cell.value for cell in record] for record in medals_table],
+            name="renamed",
+        )
+        assert renamed.fingerprint == medals_table.fingerprint
+        perturbed_tables(medals_table, count=2, seed=5)
+        copies = perturbed_tables(renamed, count=2, seed=5)
+        assert {copy.name for copy in copies} == {"renamed~perturbed"}
+
+    def test_verdicts_match_after_clearing(self, medals_table, seasons_table):
+        cases = [
+            (
+                q.value_difference("Total", "Nation", "Tonga", "Fiji"),
+                q.value_difference("Total", "Nation", "Fiji", "Tonga"),
+                medals_table,
+            ),
+            (
+                q.column_values("Silver", q.column_records("Nation", "Fiji")),
+                q.column_values("Total", q.column_records("Nation", "Fiji")),
+                medals_table,
+            ),
+            (
+                q.min_(q.column_values("Year", q.argmax_records("Attendance"))),
+                q.max_(q.column_values("Year", q.column_records("League", "USL A-League"))),
+                seasons_table,
+            ),
+            # The first case's candidate against another gold: the verdict
+            # is keyed by both queries, never by the candidate alone.
+            (
+                q.value_difference("Total", "Nation", "Tonga", "Fiji"),
+                q.column_values("Total", q.column_records("Nation", "Fiji")),
+                medals_table,
+            ),
+        ]
+        memoised = [queries_equivalent(c, g, t, perturbations=4) for c, g, t in cases]
+        hits = evaluation._EQUIVALENCE_VERDICTS.hits
+        assert [queries_equivalent(c, g, t, perturbations=4) for c, g, t in cases] == memoised
+        assert evaluation._EQUIVALENCE_VERDICTS.hits == hits + len(cases)
+        clear_evaluation_caches()
+        assert [queries_equivalent(c, g, t, perturbations=4) for c, g, t in cases] == memoised
+        assert memoised == [True, False, False, False]
+
+    def test_memos_stay_within_their_bounds(self, monkeypatch, medals_table):
+        for index in range(evaluation._PERTURBED_TABLES.maxsize + 6):
+            tiny = Table(columns=["Nation", "Total"], rows=[["A", index], ["B", 1]])
+            perturbed_tables(tiny, count=1, seed=1)
+            assert len(evaluation._PERTURBED_TABLES) <= evaluation._PERTURBED_TABLES.maxsize
+        assert evaluation._PERTURBED_TABLES.evictions >= 6
+        small = LRUCache(maxsize=2)
+        monkeypatch.setattr(evaluation, "_EQUIVALENCE_VERDICTS", small)
+        gold = q.column_values("Total", q.column_records("Nation", "Fiji"))
+        for column in ("Gold", "Silver", "Bronze", "Rank"):
+            wrong = q.column_values(column, q.column_records("Nation", "Fiji"))
+            assert not queries_equivalent(wrong, gold, medals_table)
+            assert len(small) <= 2
+        assert small.evictions == 2
+
+    def test_edited_table_never_reuses_an_old_verdict(self, medals_table):
+        """"Rank 1" and "largest Total" pick the same nation on the full
+        table but not on its perturbations; cut down to its first row (same
+        name, new content) the table makes the two queries equivalent, so a
+        verdict keyed by anything but content would be stale."""
+        gold = q.column_values("Nation", q.argmax_records("Total"))
+        candidate = q.column_values("Nation", q.column_records("Rank", 1))
+        assert queries_equivalent(candidate, gold, medals_table) is False
+        first_row = [cell.value for cell in medals_table.record(0)]
+        edited = Table(columns=medals_table.columns, rows=[first_row], name=medals_table.name)
+        assert edited.fingerprint != medals_table.fingerprint
+        misses = evaluation._EQUIVALENCE_VERDICTS.misses
+        assert queries_equivalent(candidate, gold, edited) is True
+        assert evaluation._EQUIVALENCE_VERDICTS.misses == misses + 1
+        clear_evaluation_caches()
+        assert queries_equivalent(candidate, gold, edited) is True
+        assert queries_equivalent(candidate, gold, medals_table) is False
 
 
 class TestMetrics:

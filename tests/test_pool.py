@@ -140,8 +140,13 @@ class TestProcessPoolPersistence:
             assert pool.tables_shipped == first_shipped
 
     def test_mid_run_registered_table_ships_alone(self):
-        """A table registered between batches crosses the pipe once —
-        the rest of the corpus is never re-pickled."""
+        """A table registered between batches crosses the pipe once per
+        worker — the rest of the corpus is never re-pickled.
+
+        ``last_shipped`` lists ``(worker, digest)`` pairs: the spill valve
+        may hand a shard to several workers (how many depends on the
+        worker count, hence on the host's cores), but each worker receives
+        a table at most once over the pool's lifetime."""
         olympics, medals = build_tables()
         olympics_digest = olympics.fingerprint.digest
         medals_digest = medals.fingerprint.digest
@@ -153,13 +158,27 @@ class TestProcessPoolPersistence:
         assert first
         with create_pool("process", make_parser()) as pool:
             pool.parse_all(normalize(first))
-            assert pool.last_shipped == [olympics_digest]
+            first_shipped = list(pool.last_shipped)
+            assert first_shipped
+            assert {digest for _, digest in first_shipped} == {olympics_digest}
             mixed = build_items()
             results = pool.parse_all(normalize(mixed))
-            assert pool.last_shipped == [medals_digest]
+            second_shipped = list(pool.last_shipped)
+            assert second_shipped
+            assert {digest for _, digest in second_shipped} == {medals_digest}
+            shipped = first_shipped + second_shipped
+            assert len(set(shipped)) == len(shipped), "a worker got a table twice"
+            assert pool.tables_shipped == len(shipped)
+            registry = pool.stats()["registry"]
+            assert {
+                index: sum(1 for worker, _ in shipped if worker == index)
+                for index in registry
+            } == registry
             assert [signature(parse) for parse, _ in results] == (
                 sequential_signatures(mixed)
             )
+            pool.parse_all(normalize(mixed))
+            assert pool.last_shipped == []
 
     def test_weights_resync_only_when_changed(self):
         items = build_items()[:2]
